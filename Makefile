@@ -195,9 +195,11 @@ snap-verify:
 # the flight ring is written lock-free from every worker). The
 # fleet-smoke gate covers the sharded serving fleet end to end, and the
 # race list includes internal/fleet (the front fans sub-batches out
-# across goroutines against shared ring, breaker and canary state).
+# across goroutines against shared ring, breaker and canary state). It
+# also includes internal/moe and internal/mlcore: study cells train in
+# parallel and share the optimizer's read-only bias-correction tables.
 verify-parallel: vet snap-verify wire-alloc-gate dedup-smoke route-smoke slo-smoke fleet-smoke
-	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/record/... ./internal/textsim/... ./internal/lm/... ./internal/eval/... ./internal/core/... ./internal/serve/... ./internal/snap/... ./internal/blocking/... ./internal/dedup/... ./internal/stream/... ./internal/backend/... ./internal/route/... ./internal/slo/... ./internal/flight/... ./internal/fleet/...
+	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/record/... ./internal/textsim/... ./internal/lm/... ./internal/eval/... ./internal/core/... ./internal/serve/... ./internal/snap/... ./internal/blocking/... ./internal/dedup/... ./internal/stream/... ./internal/backend/... ./internal/route/... ./internal/slo/... ./internal/flight/... ./internal/fleet/... ./internal/moe/... ./internal/mlcore/...
 
 # Allocation gate for the zero-copy serving hot path. Runs without -race
 # (the race detector defeats sync.Pool, making allocs/op meaningless):

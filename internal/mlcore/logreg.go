@@ -43,7 +43,7 @@ func TrainLogReg(examples []Example, cfg LogRegConfig, rng *stats.RNG) *LogReg {
 	if len(examples) == 0 {
 		return m
 	}
-	opt := newAdam(cfg.Dim+1, cfg.LearnRate)
+	opt := newGlobalAdam(cfg.Dim+1, cfg.LearnRate)
 	order := make([]int, len(examples))
 	for i := range order {
 		order[i] = i
@@ -87,36 +87,31 @@ func (m *LogReg) Prob(x SparseVec) float64 {
 	return Sigmoid(x.Dot(m.W) + m.Bias)
 }
 
-// adam implements the Adam optimiser with sparse updates.
-type adam struct {
-	lr      float64
-	m, v    []float64
-	t       int
-	beta1   float64
-	beta2   float64
-	epsilon float64
+// globalAdam is the Adam optimiser behind TrainLogReg. Unlike Adam it
+// keeps one timestep for all parameters, advanced once per example.
+type globalAdam struct {
+	lr   float64
+	m, v []float64
+	t    int
 }
 
-func newAdam(dim int, lr float64) *adam {
-	return &adam{
-		lr: lr, m: make([]float64, dim), v: make([]float64, dim),
-		beta1: 0.9, beta2: 0.999, epsilon: 1e-8,
-	}
+func newGlobalAdam(dim int, lr float64) *globalAdam {
+	return &globalAdam{lr: lr, m: make([]float64, dim), v: make([]float64, dim)}
 }
 
 // stepSparse applies one Adam update to the given indices using the
 // gradient buffer; apply receives the delta per index.
-func (a *adam) stepSparse(indices []int, grad []float64, apply func(idx int, delta float64)) {
+func (a *globalAdam) stepSparse(indices []int, grad []float64, apply func(idx int, delta float64)) {
 	a.t++
-	// Bias-correction factors for this timestep.
-	bc1 := 1 - math.Pow(a.beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.beta2, float64(a.t))
+	bc1 := biasCorrection(bc1Table, a.t)
+	bc2 := biasCorrection(bc2Table, a.t)
+	// Variables, not constants: here 1-β is rounded in float64, a few ulps
+	// off Adam.Step's exact constant, and trained weights depend on it.
+	beta1, beta2 := float64(adamBeta1), float64(adamBeta2)
 	for _, idx := range indices {
 		g := grad[idx]
-		a.m[idx] = a.beta1*a.m[idx] + (1-a.beta1)*g
-		a.v[idx] = a.beta2*a.v[idx] + (1-a.beta2)*g*g
-		mh := a.m[idx] / bc1
-		vh := a.v[idx] / bc2
-		apply(idx, -a.lr*mh/(math.Sqrt(vh)+a.epsilon))
+		a.m[idx] = beta1*a.m[idx] + (1-beta1)*g
+		a.v[idx] = beta2*a.v[idx] + (1-beta2)*g*g
+		apply(idx, -a.lr*(a.m[idx]/bc1)/(math.Sqrt(a.v[idx]/bc2)+adamEps))
 	}
 }

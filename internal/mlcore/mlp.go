@@ -88,7 +88,7 @@ func (m *MLP) Train(examples []Example, rng *stats.RNG) {
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	nVal := len(shuffled) / 10
 	if nVal > 0 && nVal < 8 {
-		nVal = min8(8, len(shuffled)/2)
+		nVal = min(8, len(shuffled)/2)
 	}
 	val := shuffled[:nVal]
 	examples = shuffled[nVal:]
@@ -109,7 +109,7 @@ func (m *MLP) Train(examples []Example, rng *stats.RNG) {
 
 	cfg := m.cfg
 	nParams := len(m.W1) + len(m.B1) + len(m.W2) + 1
-	opt := newAdamDense(nParams, cfg.LearnRate)
+	opt := NewAdam(nParams, cfg.LearnRate)
 	hidden := make([]float64, cfg.Hidden)
 	gW1 := make([]float64, len(m.W1))
 	gB1 := make([]float64, cfg.Hidden)
@@ -157,7 +157,7 @@ func (m *MLP) Train(examples []Example, rng *stats.RNG) {
 					rowG := gW1[h*cfg.Dim : (h+1)*cfg.Dim]
 					rowW := m.W1[h*cfg.Dim : (h+1)*cfg.Dim]
 					for _, idx := range ex.X.Idx {
-						delta := opt.step(base+idx, rowG[idx]+cfg.L2*rowW[idx])
+						delta := opt.Step(base+idx, rowG[idx]+cfg.L2*rowW[idx])
 						rowW[idx] += delta
 						rowG[idx] = 0
 					}
@@ -165,14 +165,14 @@ func (m *MLP) Train(examples []Example, rng *stats.RNG) {
 				base += cfg.Dim
 			}
 			for h := 0; h < cfg.Hidden; h++ {
-				m.B1[h] += opt.step(base+h, gB1[h])
+				m.B1[h] += opt.Step(base+h, gB1[h])
 			}
 			base += cfg.Hidden
 			for h := 0; h < cfg.Hidden; h++ {
-				m.W2[h] += opt.step(base+h, gW2[h])
+				m.W2[h] += opt.Step(base+h, gW2[h])
 			}
 			base += cfg.Hidden
-			m.B2 += opt.step(base, gB2)
+			m.B2 += opt.Step(base, gB2)
 		}
 
 		// Validation checkpointing.
@@ -193,41 +193,4 @@ func (m *MLP) Train(examples []Example, rng *stats.RNG) {
 		copy(m.W2, bestW2)
 		m.B2 = bestB2
 	}
-}
-
-func min8(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// adamDense is an Adam optimiser addressed by parameter index.
-type adamDense struct {
-	lr   float64
-	m, v []float64
-	t    []int
-}
-
-func newAdamDense(n int, lr float64) *adamDense {
-	return &adamDense{lr: lr, m: make([]float64, n), v: make([]float64, n), t: make([]int, n)}
-}
-
-// step updates the moment estimates for parameter idx with gradient g and
-// returns the additive delta. Per-parameter timesteps implement lazy
-// sparse Adam: untouched parameters accumulate no stale momentum.
-func (a *adamDense) step(idx int, g float64) float64 {
-	const (
-		beta1 = 0.9
-		beta2 = 0.999
-		eps   = 1e-8
-	)
-	a.t[idx]++
-	a.m[idx] = beta1*a.m[idx] + (1-beta1)*g
-	a.v[idx] = beta2*a.v[idx] + (1-beta2)*g*g
-	bc1 := 1 - math.Pow(beta1, float64(a.t[idx]))
-	bc2 := 1 - math.Pow(beta2, float64(a.t[idx]))
-	mh := a.m[idx] / bc1
-	vh := a.v[idx] / bc2
-	return -a.lr * mh / (math.Sqrt(vh) + eps)
 }

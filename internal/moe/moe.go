@@ -175,7 +175,7 @@ func (m *Model) Train(examples []mlcore.Example, rng *stats.RNG) {
 	var best *snapshot
 	cfg := m.cfg
 	nParams := len(m.gateW) + len(m.gateB) + len(m.expertW1) + len(m.expertB1) + len(m.headW) + 1
-	opt := newAdam(nParams, cfg.LearnRate)
+	opt := mlcore.NewAdam(nParams, cfg.LearnRate)
 	st := m.newState()
 	order := make([]int, len(examples))
 	for i := range order {
@@ -206,9 +206,9 @@ func (m *Model) Train(examples []mlcore.Example, rng *stats.RNG) {
 			// Head gradients.
 			for h := 0; h < cfg.Hidden; h++ {
 				g := gOut*st.mixed[h] + cfg.L2*m.headW[h]
-				m.headW[h] += opt.step(baseHeadW+h, g)
+				m.headW[h] += opt.Step(baseHeadW+h, g)
 			}
-			m.headB += opt.step(baseHeadB, gOut)
+			m.headB += opt.Step(baseHeadB, gOut)
 
 			// Gradient wrt mixed[h] is gOut * headW[h]; distribute to the
 			// experts (scaled by gate) and the gate (scaled by hidden).
@@ -243,9 +243,9 @@ func (m *Model) Train(examples []mlcore.Example, rng *stats.RNG) {
 				row := m.gateW[rowBase : rowBase+cfg.Dim]
 				for k, idx := range ex.X.Idx {
 					g := gl*ex.X.Val[k] + cfg.L2*row[idx]
-					row[idx] += opt.step(baseGateW+rowBase+idx, g)
+					row[idx] += opt.Step(baseGateW+rowBase+idx, g)
 				}
-				m.gateB[e] += opt.step(baseGateB+e, gl)
+				m.gateB[e] += opt.Step(baseGateB+e, gl)
 			}
 
 			// Expert parameter updates (ReLU-gated, sparse in the input).
@@ -262,9 +262,9 @@ func (m *Model) Train(examples []mlcore.Example, rng *stats.RNG) {
 					row := m.expertW1[rowBase : rowBase+cfg.Dim]
 					for k, idx := range ex.X.Idx {
 						g := gh*ex.X.Val[k] + cfg.L2*row[idx]
-						row[idx] += opt.step(baseExpertW1+rowBase+idx, g)
+						row[idx] += opt.Step(baseExpertW1+rowBase+idx, g)
 					}
-					m.expertB1[e*cfg.Hidden+h] += opt.step(baseExpertB1+e*cfg.Hidden+h, gh)
+					m.expertB1[e*cfg.Hidden+h] += opt.Step(baseExpertB1+e*cfg.Hidden+h, gh)
 				}
 			}
 		}
@@ -328,29 +328,4 @@ func softmax(logits, out []float64) {
 	for i := range out {
 		out[i] /= sum
 	}
-}
-
-// adam is a flat-indexed lazy Adam optimiser (per-parameter timesteps).
-type adam struct {
-	lr   float64
-	m, v []float64
-	t    []int
-}
-
-func newAdam(n int, lr float64) *adam {
-	return &adam{lr: lr, m: make([]float64, n), v: make([]float64, n), t: make([]int, n)}
-}
-
-func (a *adam) step(idx int, g float64) float64 {
-	const (
-		beta1 = 0.9
-		beta2 = 0.999
-		eps   = 1e-8
-	)
-	a.t[idx]++
-	a.m[idx] = beta1*a.m[idx] + (1-beta1)*g
-	a.v[idx] = beta2*a.v[idx] + (1-beta2)*g*g
-	bc1 := 1 - math.Pow(beta1, float64(a.t[idx]))
-	bc2 := 1 - math.Pow(beta2, float64(a.t[idx]))
-	return -a.lr * (a.m[idx] / bc1) / (math.Sqrt(a.v[idx]/bc2) + eps)
 }
